@@ -151,6 +151,8 @@ class DynamicCachePolicy:
         #: per-load deltas, read by the loader after each observe()
         self.last_promoted = 0
         self.last_demoted = 0
+        #: set once warm() has seeded the baseline from history
+        self.warmed = False
         self._recompute_floors()
         #: the state reset() restores (re-snapshotted by warm())
         self._baseline_cached = store.cached.copy()
@@ -188,6 +190,7 @@ class DynamicCachePolicy:
         self._baseline_floor = self._floor.copy()
         self._baseline_seen = self._seen.copy()
         promoted = int(fill.sum())
+        self.warmed = True
         self._zero_counters()
         if changed:
             self._notify()

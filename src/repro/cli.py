@@ -220,6 +220,7 @@ def cmd_serve(args) -> int:
         max_sustainable_qps,
         qps_sweep,
     )
+    from repro.serve.sweep import warm_once
 
     cfg = _config(args)
     qps_values = [float(q) for q in args.qps.split(",")]
@@ -255,15 +256,23 @@ def cmd_serve(args) -> int:
         seed=args.seed,
     )
     systems = [s for s in args.systems.split(",") if s]
-    if args.num_replicas > 1 and args.trace_base:
-        return _fail("--trace-base is ambiguous with --num-replicas > 1; "
-                     "trace a single replica instead")
     if args.scale_max > 1 and args.num_replicas > 1:
         return _fail("--scale-max replaces the fixed --num-replicas router; "
                      "use one or the other")
-    if args.scale_max > 1 and args.trace_base:
-        return _fail("--trace-base is ambiguous under autoscaling; "
-                     "trace a single replica instead")
+    replicas = None
+    if args.scale_max > 1:
+        from repro.control import AutoscaleConfig
+
+        replicas = AutoscaleConfig(
+            min_replicas=args.scale_min,
+            max_replicas=args.scale_max,
+            target_qps_per_replica=args.target_qps_per_replica,
+        )
+    elif args.num_replicas > 1:
+        from repro.cluster import RouterConfig
+
+        replicas = RouterConfig(num_replicas=args.num_replicas,
+                                policy=args.routing, seed=args.seed)
     workload = None
     payload: dict = {
         "slo_ms": args.slo_ms,
@@ -286,17 +295,15 @@ def cmd_serve(args) -> int:
             )
         warm_nodes = None
         if args.cache_warmup > 0:
-            dyn = getattr(getattr(system, "loader", None), "dynamic", None)
-            if dyn is not None:
-                hist = workload.nodes[: args.cache_warmup]
-                numbering = getattr(system, "numbering", None)
-                if numbering is not None:
-                    hist = numbering.old_to_new[hist]
-                promoted = dyn.warm(hist)
-                dyn._warm_applied = True  # sweep workers re-warm theirs
-                warm_nodes = hist
+            warm_nodes = workload.nodes[: args.cache_warmup]
+            numbering = getattr(system, "numbering", None)
+            if numbering is not None:
+                warm_nodes = numbering.old_to_new[warm_nodes]
+            promoted = warm_once(system, warm_nodes)
+            if promoted is not None:
                 print(f"{name}: warmed dynamic cache from "
-                      f"{len(hist)} requests ({promoted} rows promoted)")
+                      f"{len(warm_nodes)} requests ({promoted} rows "
+                      "promoted)")
         trace_base = None
         if args.trace_base:
             from repro.obs import run_trace_path
@@ -306,36 +313,12 @@ def cmd_serve(args) -> int:
             args.metrics_window_ms * 1e-3
             if args.metrics_window_ms is not None else None
         )
-        if args.scale_max > 1:
-            from repro.control import AutoscaleConfig, autoscaled_qps_sweep
-
-            points = autoscaled_qps_sweep(
-                system, workload, qps_values,
-                scale=AutoscaleConfig(
-                    min_replicas=args.scale_min,
-                    max_replicas=args.scale_max,
-                    target_qps_per_replica=args.target_qps_per_replica,
-                ),
-                config=serve_cfg, workers=args.workers,
-                metrics=args.metrics, metrics_window_s=metrics_window_s,
-            )
-        elif args.num_replicas > 1:
-            from repro.cluster import RouterConfig, replicated_qps_sweep
-
-            points = replicated_qps_sweep(
-                system, workload, qps_values,
-                router=RouterConfig(num_replicas=args.num_replicas,
-                                    policy=args.routing, seed=args.seed),
-                config=serve_cfg, workers=args.workers,
-                metrics=args.metrics, metrics_window_s=metrics_window_s,
-            )
-        else:
-            points = qps_sweep(
-                system, workload, qps_values, serve_cfg,
-                workers=args.workers, trace_base=trace_base,
-                metrics=args.metrics, metrics_window_s=metrics_window_s,
-                warm_nodes=warm_nodes,
-            )
+        points = qps_sweep(
+            system, workload, qps_values, serve_cfg,
+            workers=args.workers, trace_base=trace_base,
+            metrics=args.metrics, metrics_window_s=metrics_window_s,
+            warm_nodes=warm_nodes, replicas=replicas,
+        )
         for p in points:
             r = p.report
             line = (f"{name:<10} {p.qps:>10.0f} {fmt_time(r.p50):>10} "

@@ -13,7 +13,8 @@ a cluster along the two production axes the ROADMAP names:
   (:mod:`repro.cluster.engine`);
 - **scale-out serving of many users** — ``R`` serving replicas behind a
   deterministic :class:`~repro.cluster.router.ClusterRouter`
-  (random / least-loaded / partition-affinity policies) whose merged
+  (random / least-loaded / partition-affinity policies), served as a
+  replica layout of :func:`repro.serve.serve_once` so the merged
   reports flow through the ordinary SLO tooling
   (:mod:`repro.cluster.serve`).
 
@@ -29,12 +30,7 @@ from repro.cluster.partition import (
     hierarchical_partition,
 )
 from repro.cluster.router import ROUTING_POLICIES, ClusterRouter, RouterConfig
-from repro.cluster.serve import (
-    affinity_map,
-    knee_vs_replicas,
-    replicated_qps_sweep,
-    serve_replicated,
-)
+from repro.cluster.serve import affinity_map, knee_vs_replicas
 
 __all__ = [
     "lower_trace",
@@ -46,6 +42,4 @@ __all__ = [
     "RouterConfig",
     "affinity_map",
     "knee_vs_replicas",
-    "replicated_qps_sweep",
-    "serve_replicated",
 ]

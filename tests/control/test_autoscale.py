@@ -7,9 +7,8 @@ from repro.control import (
     AutoscaleConfig,
     ControllerConfig,
     assign_replicas,
-    autoscaled_serve,
 )
-from repro.serve import ServeConfig, WorkloadConfig, make_workload
+from repro.serve import ServeConfig, WorkloadConfig, make_workload, serve_once
 from repro.utils import ConfigError
 
 from tests.control.conftest import digest
@@ -17,6 +16,12 @@ from tests.control.conftest import digest
 #: per-replica capacity that makes the pinned diurnal stream exercise
 #: both directions of the scaler (the qps/max default is too coarse)
 TARGET = 6000.0
+
+#: digest of the ``scaled`` fixture report, computed before the replica
+#: layouts shared one driver
+PRE_UNIFY_SCALED = (
+    "41bd572e884695b441dd19401d48e9824c18c229616dab8b880b78bedf8bd199"
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +36,8 @@ def rich_diurnal(nodes):
 def scaled(system, rich_diurnal):
     scale = AutoscaleConfig(min_replicas=1, max_replicas=3,
                             target_qps_per_replica=TARGET)
-    return autoscaled_serve(system, rich_diurnal, 8000.0, scale=scale,
-                            config=ServeConfig(check_invariants=True))
+    return serve_once(system, rich_diurnal, 8000.0,
+                      ServeConfig(check_invariants=True), replicas=scale)
 
 
 class TestConfigValidation:
@@ -69,6 +74,9 @@ class TestPinnedTrace:
             ("scale-up", 1, 2), ("scale-up", 2, 3), ("scale-down", 3, 2),
         ]
         assert auto["final_replicas"] == 2
+
+    def test_report_matches_pre_unify(self, scaled):
+        assert digest(scaled.to_dict()) == PRE_UNIFY_SCALED
 
     def test_scale_down_never_sheds(self, scaled, rich_diurnal):
         assert scaled.shed == 0
@@ -137,9 +145,9 @@ class TestSafety:
                 assert req.arrival <= state.retired[rep]
 
     def test_degenerate_range_never_acts(self, system, rich_diurnal):
-        report = autoscaled_serve(
+        report = serve_once(
             system, rich_diurnal, 8000.0,
-            scale=AutoscaleConfig(min_replicas=1, max_replicas=1),
+            replicas=AutoscaleConfig(min_replicas=1, max_replicas=1),
         )
         auto = report.control["autoscale"]
         assert auto["actions"] == []
@@ -160,8 +168,8 @@ class TestDeterminism:
             self, system, rich_diurnal, scaled):
         scale = AutoscaleConfig(min_replicas=1, max_replicas=3,
                                 target_qps_per_replica=TARGET)
-        again = autoscaled_serve(system, rich_diurnal, 8000.0, scale=scale,
-                                 config=ServeConfig(check_invariants=True))
+        again = serve_once(system, rich_diurnal, 8000.0,
+                           ServeConfig(check_invariants=True), replicas=scale)
         assert digest(again.to_dict()) == digest(scaled.to_dict())
 
     def test_default_target_is_qps_over_max(self, rich_diurnal):
@@ -178,9 +186,10 @@ class TestControllerComposition:
         summary under control['replicas']."""
         scale = AutoscaleConfig(min_replicas=1, max_replicas=3,
                                 target_qps_per_replica=TARGET)
-        report = autoscaled_serve(
-            system, rich_diurnal, 8000.0, scale=scale,
-            config=ServeConfig(slo_s=2e-3, controller=ControllerConfig()),
+        report = serve_once(
+            system, rich_diurnal, 8000.0,
+            ServeConfig(slo_s=2e-3, controller=ControllerConfig()),
+            replicas=scale,
         )
         replicas = report.control["replicas"]
         assert len(replicas) == report.control["autoscale"]["max_replicas_used"]

@@ -13,11 +13,11 @@ byte-identical across ``--workers``.
 
 import numpy as np
 
-from repro.cluster import RouterConfig, serve_replicated
+from repro.cluster import RouterConfig
 from repro.control import (
     AutoscaleConfig,
     ControllerConfig,
-    autoscaled_qps_sweep,
+    TenancyConfig,
     control_matrix,
 )
 from repro.core import build_system
@@ -46,6 +46,16 @@ HEAD_DIURNAL = (
     "856e7cbf88e81c3fcfff2e93cec0c2bda047a71238b6b9723ebd7a7a6b5d08a4"
 )
 
+# -- digests computed before the replica layouts shared one driver -----
+#: two affinity replicas, metrics on, controller + 2-tenant tenancy
+PRE_UNIFY_REPLICATED_CONTROLLED = (
+    "f719ac08dbaa15e29bc74eadf0161efcb5d8f2972f0854856f70ae77405a1b03"
+)
+#: autoscaled [4000, 8000] sweep of the pinned diurnal stream
+PRE_UNIFY_AUTOSCALED_SWEEP = (
+    "d0eb07eef14c814c66e1aaca5b7d67952148741cb9dcae2ddd3f224dab6e38c6"
+)
+
 
 class TestDefaultsOffBitIdentity:
     def test_serve_once_matches_head(self, system, poisson):
@@ -62,11 +72,32 @@ class TestDefaultsOffBitIdentity:
         assert digest([p.report.to_dict() for p in pts]) == HEAD_QPS_SWEEP
 
     def test_serve_replicated_matches_head(self, system, poisson):
-        report = serve_replicated(
+        report = serve_once(
             system, poisson, 8000.0,
-            router=RouterConfig(num_replicas=2, policy="affinity", seed=3),
+            replicas=RouterConfig(num_replicas=2, policy="affinity", seed=3),
         )
         assert digest(report.to_dict()) == HEAD_REPLICATED
+
+    def test_replicated_controlled_tenants_matches_pre_unify(
+            self, system, diurnal):
+        tenancy = TenancyConfig.uniform(2, seed=3)
+        cfg = ServeConfig(
+            slo_s=TIGHT_SLO_S,
+            controller=ControllerConfig(max_pressure=tenancy.max_priority()),
+            tenancy=tenancy,
+        )
+        report = serve_once(
+            system, diurnal, 8000.0, cfg, metrics=True,
+            replicas=RouterConfig(num_replicas=2, policy="affinity", seed=3),
+        )
+        assert digest(report.to_dict()) == PRE_UNIFY_REPLICATED_CONTROLLED
+
+    def test_autoscaled_sweep_matches_pre_unify(self, system, diurnal):
+        scale = AutoscaleConfig(min_replicas=1, max_replicas=3,
+                                target_qps_per_replica=6000.0)
+        pts = qps_sweep(system, diurnal, [4000.0, 8000.0], replicas=scale)
+        assert (digest([p.report.to_dict() for p in pts])
+                == PRE_UNIFY_AUTOSCALED_SWEEP)
 
     def test_other_system_matches_head(self, poisson):
         system = build_system("DGL-UVA", CFG)
@@ -123,10 +154,10 @@ class TestWorkerByteIdentity:
             self, system, diurnal):
         scale = AutoscaleConfig(min_replicas=1, max_replicas=3,
                                 target_qps_per_replica=6000.0)
-        serial = autoscaled_qps_sweep(system, diurnal, [4000.0, 8000.0],
-                                      scale=scale, workers=1)
-        fanned = autoscaled_qps_sweep(system, diurnal, [4000.0, 8000.0],
-                                      scale=scale, workers=2)
+        serial = qps_sweep(system, diurnal, [4000.0, 8000.0], workers=1,
+                           replicas=scale)
+        fanned = qps_sweep(system, diurnal, [4000.0, 8000.0], workers=2,
+                           replicas=scale)
         assert (digest([p.report.to_dict() for p in serial])
                 == digest([p.report.to_dict() for p in fanned]))
 
@@ -136,10 +167,9 @@ class TestWorkerByteIdentity:
         of its spec: a fresh-process rebuild reproduces it exactly."""
         cfg = ServeConfig(slo_s=TIGHT_SLO_S, controller=ControllerConfig())
         router = RouterConfig(num_replicas=2, policy="affinity", seed=3)
-        a = serve_replicated(system, diurnal, 8000.0, router=router,
-                             config=cfg)
-        b = serve_replicated(build_system("DSP", CFG), diurnal, 8000.0,
-                             router=router, config=cfg)
+        a = serve_once(system, diurnal, 8000.0, cfg, replicas=router)
+        b = serve_once(build_system("DSP", CFG), diurnal, 8000.0, cfg,
+                       replicas=router)
         assert digest(a.to_dict()) == digest(b.to_dict())
         assert len(a.control["replicas"]) == 2
 

@@ -13,6 +13,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster import RouterConfig
+from repro.control import AutoscaleConfig
 from repro.core import RunConfig, build_system
 from repro.serve import (
     ServeConfig,
@@ -119,6 +121,31 @@ class TestServingUnderDrift:
                 [p.report.to_dict() for p in points], sort_keys=True
             )
         assert blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("replicas", [
+        RouterConfig(num_replicas=2, policy="affinity", seed=3),
+        AutoscaleConfig(min_replicas=1, max_replicas=3),
+    ], ids=["router", "autoscale"])
+    def test_warmed_replicated_sweep_byte_identical_across_workers(
+            self, replicas):
+        """The warmup reaches every replica layout: a warmed replicated
+        or autoscaled sweep is the same whichever process serves it —
+        and the warmup really changes what it serves."""
+        blobs = {}
+        for workers, warmed in ((1, True), (2, True), (1, False)):
+            fresh = build_system("DSP", RunConfig(**BASE, **DYNAMIC))
+            wl = _drift_workload(fresh)
+            warm = fresh.numbering.old_to_new[wl.nodes[:48]]
+            points = qps_sweep(fresh, wl, [1000.0, 4000.0],
+                               ServeConfig(functional=False),
+                               workers=workers, metrics=True,
+                               warm_nodes=warm if warmed else None,
+                               replicas=replicas)
+            blobs[workers, warmed] = json.dumps(
+                [p.report.to_dict() for p in points], sort_keys=True
+            )
+        assert blobs[1, True] == blobs[2, True]
+        assert blobs[1, True] != blobs[1, False]
 
     def test_defaults_off_matches_plain_config(self):
         """dynamic_cache=False + compress="none" (the defaults) serve

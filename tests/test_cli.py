@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +111,25 @@ class TestCLI:
         assert set(payload["systems"]) == {"DSP", "DGL-UVA"}
         acc = payload["systems"]["DSP"]["points"][0]["accuracy"]
         assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("flags", [
+        ["--num-replicas", "2", "--trace-base", "sweep.json"],
+        ["--scale-max", "3", "--trace-base", "sweep.json"],
+        ["--scale-max", "3", "--num-replicas", "2"],
+    ], ids=["trace-replicas", "trace-autoscale", "scale-and-replicas"])
+    def test_serve_replica_conflicts_exit_nonzero(self, flags, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", *ARGS,
+             "--requests", "16", "--qps", "1000", *flags],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert not list(tmp_path.glob("*.json"))  # no trace written
+        expected = ("ConfigError" if "--trace-base" in flags
+                    else "--scale-max replaces")
+        assert expected in proc.stderr
 
     def test_serve_bad_arrival_rejected(self):
         with pytest.raises(SystemExit):

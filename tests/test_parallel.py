@@ -11,7 +11,7 @@ from repro.parallel import (
     register_handler,
     run_tasks,
 )
-from repro.parallel import _SYSTEM_CACHE, _reset_worker_state
+from repro.parallel import _SYSTEM_CACHE, _execute, _reset_worker_state
 from repro.utils import ConfigError, WorkerError
 
 
@@ -79,6 +79,11 @@ class TestRunTasks:
         with pytest.raises(WorkerError, match="no-such-kind"):
             run_tasks([RunSpec(kind="no-such-kind", label="x")], workers=1)
 
+    def test_cluster_point_kind_is_gone(self):
+        """Every replica layout serves through ``serve_point``."""
+        with pytest.raises(ConfigError, match="unknown run kind"):
+            _execute(RunSpec(kind="cluster_point", label="x"))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_crash_surfaces_child_traceback(self, workers):
         specs = self.specs(2) + [RunSpec(kind="t-boom", label="bad")]
@@ -113,3 +118,35 @@ class TestRunSpecPickling:
         )
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
+
+
+class TestServePoint:
+    def test_replicas_payload_matches_direct_serve_once(self):
+        import json
+
+        from repro.cluster import RouterConfig
+        from repro.core import RunConfig, build_system
+        from repro.serve import (
+            ServeConfig,
+            WorkloadConfig,
+            make_workload,
+            serve_once,
+        )
+
+        system = build_system("DSP", RunConfig(
+            dataset="tiny", num_gpus=2, hidden_dim=16, batch_size=8,
+            fanout=(5, 3)))
+        workload = make_workload(WorkloadConfig(num_requests=64, seed=1),
+                                 system.data.train_nodes)
+        cfg = ServeConfig(check_invariants=True)
+        router = RouterConfig(num_replicas=2, policy="affinity", seed=3)
+        adopt_system(system)
+        [via_handler] = run_tasks([RunSpec(
+            kind="serve_point", label="qps2000",
+            payload={"system": system.name, "config": system.config,
+                     "workload": workload, "qps": 2000.0,
+                     "serve_config": cfg, "replicas": router},
+        )])
+        direct = serve_once(system, workload, 2000.0, cfg, replicas=router)
+        assert (json.dumps(via_handler.to_dict(), sort_keys=True)
+                == json.dumps(direct.to_dict(), sort_keys=True))
