@@ -384,7 +384,7 @@ class DynamicCachePolicy:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Counters for the obs layer and the perf benchmarks."""
+        """Promotion/demotion counters for the obs layer and reports."""
         return {
             "promotions": self.promotions,
             "demotions": self.demotions,

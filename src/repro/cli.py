@@ -8,7 +8,6 @@ Commands
 ``infer``    train then run distributed full-graph inference
 ``serve``    online inference serving: QPS sweep, SLO accounting, knee
 ``trace``    run one traced epoch; write a Chrome trace, print stalls
-``perf``     wall-clock microbenchmarks -> BENCH_perf.json
 ``chaos``    deterministic fault-injection scenarios -> resilience report
 ``control``  controller-on vs static SLO-minutes matrix -> verdict
 ``report``   merge saved serve/chaos/trace artifacts into one HTML report
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.bench.harness import TABLE_SYSTEMS
@@ -25,12 +25,58 @@ from repro.core import RunConfig, SYSTEMS, build_system
 from repro.core.metrics import metrics_dict as _metrics_dict, scrub_nan
 from repro.graph import DATASET_SPECS
 from repro.utils import fmt_bytes, fmt_time
+from repro.utils.errors import ConfigError
 
 
 def _fail(message: str) -> int:
     """One-line operator-facing error on stderr; exit status 1."""
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _positive(text: str) -> float:
+    """argparse ``type=``: a finite number > 0 (offered loads)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return value
+
+
+def _at_least(low: int):
+    """argparse ``type=``: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer >= {low}")
+        return value
+    return parse
+
+
+def _csv(item=str, choices=None):
+    """argparse ``type=`` for a comma-separated list (empty items are
+    dropped): a malformed item or unknown choice is a usage error."""
+    def parse(text: str) -> list:
+        values = []
+        for raw in filter(None, text.split(",")):
+            try:
+                value = item(raw)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"{raw!r} is not a valid {item.__name__}") from None
+            if choices is not None and value not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {raw!r} (choose from "
+                    f"{', '.join(sorted(choices))})")
+            values.append(value)
+        return values
+    return parse
 
 
 def _control_figures(control: dict | None) -> tuple[int, int]:
@@ -66,7 +112,7 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="sage", choices=["sage", "gcn", "gat"])
     p.add_argument("--hidden", type=int, default=256)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--fanout", default="15,10,5",
+    p.add_argument("--fanout", default="15,10,5", type=_csv(int),
                    help="comma-separated per-layer fan-out")
     p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--dynamic-cache", action="store_true",
@@ -103,7 +149,7 @@ def _config(args) -> RunConfig:
         model=args.model,
         hidden_dim=args.hidden,
         batch_size=args.batch_size,
-        fanout=tuple(int(f) for f in args.fanout.split(",")),
+        fanout=tuple(args.fanout),
         lr=args.lr,
         dynamic_cache=args.dynamic_cache,
         cache_window=args.cache_window,
@@ -144,7 +190,7 @@ def cmd_compare(args) -> int:
     from repro.bench.harness import compare_epochs
 
     cfg = _config(args)
-    systems = args.systems.split(",") if args.systems else list(TABLE_SYSTEMS)
+    systems = args.systems or list(TABLE_SYSTEMS)
     out = compare_epochs(
         systems, cfg, max_batches=args.batches, workers=args.workers
     )
@@ -223,7 +269,6 @@ def cmd_serve(args) -> int:
     from repro.serve.sweep import warm_once
 
     cfg = _config(args)
-    qps_values = [float(q) for q in args.qps.split(",")]
     tenancy = None
     if args.tenants > 0:
         from repro.control import TenancyConfig
@@ -255,7 +300,6 @@ def cmd_serve(args) -> int:
         drift_phases=args.drift_phases,
         seed=args.seed,
     )
-    systems = [s for s in args.systems.split(",") if s]
     if args.scale_max > 1 and args.num_replicas > 1:
         return _fail("--scale-max replaces the fixed --num-replicas router; "
                      "use one or the other")
@@ -287,7 +331,7 @@ def cmd_serve(args) -> int:
     print(f"{'system':<10} {'offered':>10} {'p50':>10} {'p99':>10} "
           f"{'goodput':>10} {'shed':>6} {'batch':>6}{slo_col}{act_col}")
     knees = {}
-    for name in systems:
+    for name in args.systems:
         system = build_system(name, cfg)
         if workload is None:
             workload = make_workload(
@@ -314,7 +358,7 @@ def cmd_serve(args) -> int:
             if args.metrics_window_ms is not None else None
         )
         points = qps_sweep(
-            system, workload, qps_values, serve_cfg,
+            system, workload, args.qps, serve_cfg,
             workers=args.workers, trace_base=trace_base,
             metrics=args.metrics, metrics_window_s=metrics_window_s,
             warm_nodes=warm_nodes, replicas=replicas,
@@ -327,8 +371,8 @@ def cmd_serve(args) -> int:
             if args.metrics and r.metrics is not None:
                 line += f" {r.metrics['slo']['slo_minutes_violated']:>8.4f}"
             if act_col:
-                actions, replicas = _control_figures(r.control)
-                line += f" {actions:>7} {replicas:>4}"
+                actions, replica_count = _control_figures(r.control)
+                line += f" {actions:>7} {replica_count:>4}"
             print(line)
         knees[name] = max_sustainable_qps(points)
         payload["systems"][name] = {
@@ -408,42 +452,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    """``repro perf``: wall-clock microbenchmarks of the hot paths.
-
-    Times the Python implementation itself (not simulated hardware):
-    the CSP layer round against its chunked reference implementation,
-    the feature loader against the seed's per-holder loop, a costed
-    DSP epoch, one serving sweep point, and a whole QPS sweep (serial
-    vs the parallel executor).  Writes ``BENCH_perf.json`` so perf PRs
-    carry measured before/after deltas (see ``docs/performance.md``).
-
-    ``--baseline PATH`` additionally diffs the fresh run against a
-    committed baseline and exits nonzero when any benchmark's speedup
-    regressed by more than ``--tolerance`` (default 20%).
-    """
-    from repro.bench.perf import diff_against_baseline, format_perf, run_perf
-
-    benches = [b for b in args.benches.split(",") if b] if args.benches else None
-    payload = run_perf(quick=args.quick, benches=benches, workers=args.workers)
-    print(format_perf(payload))
-    with open(args.out, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-    print(f"\nwrote {args.out}")
-    if args.baseline:
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-        report, regressions = diff_against_baseline(
-            payload, baseline, tolerance=args.tolerance
-        )
-        print()
-        print(report)
-        if regressions:
-            return 1
-    return 0
-
-
 def cmd_chaos(args) -> int:
     """``repro chaos``: run the fault-injection scenario suite.
 
@@ -464,7 +472,7 @@ def cmd_chaos(args) -> int:
     )
 
     cfg = _config(args)
-    systems = [s for s in args.systems.split(",") if s]
+    systems = args.systems
     if cfg.num_nodes > 1:
         multinode = [s for s in systems if s.startswith("DSP")]
         dropped = sorted(set(systems) - set(multinode))
@@ -474,10 +482,7 @@ def cmd_chaos(args) -> int:
         systems = multinode
         if not systems:
             return _fail("no system in --systems supports --num-nodes > 1")
-    scenarios = (
-        [s for s in args.scenarios.split(",") if s]
-        if args.scenarios else sorted(SCENARIOS)
-    )
+    scenarios = args.scenarios or sorted(SCENARIOS)
     controller = None
     if args.controller:
         from repro.control import ControllerConfig
@@ -523,8 +528,7 @@ def cmd_control(args) -> int:
     from repro.serve import ServeConfig, WorkloadConfig
 
     cfg = _config(args)
-    scenarios = ([s for s in args.scenarios.split(",") if s]
-                 if args.scenarios else list(CORE_SCENARIOS))
+    scenarios = args.scenarios or list(CORE_SCENARIOS)
     controller = ControllerConfig(
         interval_s=(args.control_interval_ms * 1e-3
                     if args.control_interval_ms is not None else None),
@@ -574,7 +578,6 @@ def cmd_report(args) -> int:
     Chrome trace) exit with a one-line error and status 1.
     """
     from repro.metrics import write_report
-    from repro.utils.errors import ConfigError
 
     def load(path):
         with open(path) as f:
@@ -684,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare systems on one workload")
     _add_workload_args(p)
-    p.add_argument("--systems", default="",
+    p.add_argument("--systems", default="", type=_csv(choices=SYSTEMS),
                    help="comma-separated subset (default: all five)")
     p.add_argument("--batches", type=int, default=6)
     p.add_argument("--workers", type=int, default=1,
@@ -724,9 +727,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="online inference serving: QPS sweep + SLO knee"
     )
     _add_workload_args(p)
-    p.add_argument("--systems", default="DSP",
+    p.add_argument("--systems", default="DSP", type=_csv(choices=SYSTEMS),
                    help="comma-separated systems to sweep (default DSP)")
     p.add_argument("--qps", default="2000,8000,32000,128000",
+                   type=_csv(_positive),
                    help="comma-separated offered loads to sweep")
     p.add_argument("--requests", type=int, default=256,
                    help="requests per sweep point (default 256)")
@@ -746,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="popularity-drift phases: the Zipf hot set "
                         "permutes this many times over the request "
                         "stream (default 1 = stationary)")
-    p.add_argument("--cache-warmup", type=int, default=0,
+    p.add_argument("--cache-warmup", type=_at_least(0), default=0,
                    help="seed the dynamic cache from the first N "
                         "workload requests before the sweep (needs "
                         "--dynamic-cache; default 0 = off)")
@@ -774,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-qps-per-replica", type=float, default=None,
                    help="per-replica capacity the autoscaler sizes "
                         "against (default: offered QPS / scale-max)")
-    p.add_argument("--num-replicas", type=int, default=1,
+    p.add_argument("--num-replicas", type=_at_least(1), default=1,
                    help="serving replicas behind the cluster router "
                         "(default 1 = plain serve_once path)")
     p.add_argument("--routing", default="affinity",
@@ -800,36 +804,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
-        "perf", help="wall-clock microbenchmarks -> BENCH_perf.json"
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="small datasets / few iterations (CI smoke)")
-    p.add_argument("--benches", default="",
-                   help="comma-separated subset of: csp_layer, "
-                        "feature_load, epoch, serve_batch, sweep, "
-                        "chaos_scenario, multinode_epoch, engine_core, "
-                        "cache_dynamic, control_loop (default all)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, one task per benchmark "
-                        "(default 1 = serial)")
-    p.add_argument("--baseline", metavar="PATH", default=None,
-                   help="diff against a committed BENCH_perf.json; exit "
-                        "nonzero on >tolerance speedup regression")
-    p.add_argument("--tolerance", type=float, default=0.2,
-                   help="allowed fractional speedup regression vs the "
-                        "baseline (default 0.2)")
-    p.add_argument("--out", metavar="PATH", default="BENCH_perf.json",
-                   help="JSON output path (default BENCH_perf.json)")
-    p.set_defaults(func=cmd_perf)
-
-    p = sub.add_parser(
         "chaos", help="fault-injection scenarios -> resilience report"
     )
     _add_workload_args(p)
     p.add_argument("--systems", default="DSP,DSP-Pull,DGL-UVA",
+                   type=_csv(choices=SYSTEMS),
                    help="comma-separated systems to stress "
                         "(default DSP,DSP-Pull,DGL-UVA)")
-    p.add_argument("--scenarios", default="",
+    p.add_argument("--scenarios", default="", type=_csv(),
                    help="comma-separated scenario names "
                         "(default: all; see docs/robustness.md)")
     p.add_argument("--batches", type=int, default=4,
@@ -859,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_args(p)
     p.add_argument("--system", default="DSP", choices=sorted(SYSTEMS))
-    p.add_argument("--scenarios", default="",
+    p.add_argument("--scenarios", default="", type=_csv(),
                    help="comma-separated chaos scenarios (default: the "
                         "seven core recipes; 'none' = fault-free)")
     p.add_argument("--requests", type=int, default=256,
@@ -916,7 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as err:
+        return _fail(str(err))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,7 +4,7 @@ DSP's whole point is extracting parallel throughput *inside* one run
 (per-GPU sampler/loader/trainer workers overlapping mini-batches, §5).
 The driver layer sitting above the simulator is just as parallel but
 was serial: every QPS-sweep point, every system of a ``repro compare``
-table and every perf-bench measurement is an independent simulation.
+table and every chaos or controller cell is an independent simulation.
 This module fans those runs out across CPU cores.
 
 Design
@@ -187,16 +187,6 @@ def _epoch(spec: RunSpec):
     return out if epochs > 1 else out[0]
 
 
-def _perf_bench(spec: RunSpec):
-    """One named perf microbenchmark -> its payload dict."""
-    from repro.bench.perf import run_single_bench
-
-    p = spec.payload
-    return run_single_bench(
-        p["bench"], quick=p.get("quick", False), clock=p.get("clock", "wall")
-    )
-
-
 def _chaos_scenario(spec: RunSpec):
     """One (system, scenario) resilience cell -> its result dict.
 
@@ -235,7 +225,6 @@ def _control_cell(spec: RunSpec):
 
 register_handler("serve_point", _serve_point)
 register_handler("epoch", _epoch)
-register_handler("perf_bench", _perf_bench)
 register_handler("chaos_scenario", _chaos_scenario)
 register_handler("control_cell", _control_cell)
 

@@ -112,6 +112,16 @@ class TestCLI:
         acc = payload["systems"]["DSP"]["points"][0]["accuracy"]
         assert 0.0 <= acc <= 1.0
 
+    def test_serve_autoscaled_multi_system(self, capsys):
+        """Every system in the sweep is served under the same layout."""
+        assert main(["serve", *ARGS, "--systems", "DSP,DSP-Pull",
+                     "--requests", "32", "--qps", "2000",
+                     "--scale-max", "2", "--json"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out[out.index("{"):])
+        for entry in payload["systems"].values():
+            assert "autoscale" in entry["points"][0]["control"]
+
     @pytest.mark.parametrize("flags", [
         ["--num-replicas", "2", "--trace-base", "sweep.json"],
         ["--scale-max", "3", "--trace-base", "sweep.json"],
@@ -127,34 +137,48 @@ class TestCLI:
         )
         assert proc.returncode != 0
         assert not list(tmp_path.glob("*.json"))  # no trace written
-        expected = ("ConfigError" if "--trace-base" in flags
-                    else "--scale-max replaces")
+        expected = ("tracing a replicated run is ambiguous"
+                    if "--trace-base" in flags else "--scale-max replaces")
         assert expected in proc.stderr
 
     def test_serve_bad_arrival_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--arrival", "uniform"])
 
-    def test_perf_single_bench_out(self, capsys, tmp_path):
-        path = tmp_path / "BENCH_perf.json"
-        assert main(["perf", "--quick", "--benches", "feature_load",
-                     "--out", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert f"wrote {path}" in out and "speedup" in out
-        payload = json.loads(path.read_text())
-        assert payload["quick"] is True
-        r = payload["benchmarks"]["feature_load"]
-        assert r["wall_s_after"] > 0 and r["wall_s_before"] > 0
-        assert r["speedup"] == pytest.approx(
-            r["wall_s_before"] / r["wall_s_after"]
+    @pytest.mark.parametrize("argv", [
+        ["serve", *ARGS, "--qps", "0"],
+        ["serve", *ARGS, "--gpus", "0", "--requests", "16", "--qps", "1000"],
+        ["serve", *ARGS, "--requests", "0", "--qps", "1000"],
+        ["chaos", *ARGS, "--systems", "NOPE", "--scenarios", "straggler"],
+        ["serve", *ARGS, "--qps", "abc"],
+    ], ids=["qps-zero", "gpus-zero", "requests-zero", "unknown-system",
+            "qps-not-a-number"])
+    def test_bad_input_exits_without_traceback(self, argv, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
         )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
 
-    def test_perf_rejects_unknown_bench(self, tmp_path):
-        from repro.utils import ConfigError
+    @pytest.mark.parametrize("flags", [
+        ["--num-replicas", "0"],
+        ["--cache-warmup", "-3"],
+    ], ids=["zero-replicas", "negative-warmup"])
+    def test_serve_rejects_impossible_counts(self, flags):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", *flags])
 
-        with pytest.raises(ConfigError):
-            main(["perf", "--quick", "--benches", "magic",
-                  "--out", str(tmp_path / "x.json")])
+    def test_list_flags_parse_to_lists(self):
+        args = build_parser().parse_args(
+            ["serve", "--fanout", "5,3", "--qps", "500,2e3",
+             "--systems", "DSP,DGL-UVA"])
+        assert args.fanout == [5, 3]
+        assert args.qps == [500.0, 2000.0]
+        assert args.systems == ["DSP", "DGL-UVA"]
 
     def test_parser_rejects_unknown_system(self):
         with pytest.raises(SystemExit):
