@@ -16,8 +16,10 @@ Entry points
   (:mod:`repro.chaos.injector`);
 - :class:`InvariantChecker` — the simulation oracle
   (:mod:`repro.chaos.invariants`);
-- :class:`ChaosRuntime` — one run's wiring, threaded through
+- :class:`ChaosRuntime` — one epoch's wiring, threaded through
   ``TrainingSystem.run_epoch(chaos=...)`` (:mod:`repro.chaos.runtime`);
+  serving passes take a plan directly through
+  ``repro.serve.sweep.serve_pass(..., faults=plan)``;
 - :func:`run_scenario` / :func:`resilience_report` — the named
   scenario suite behind ``repro chaos``
   (:mod:`repro.chaos.scenarios`, imported lazily because it pulls in
@@ -48,7 +50,7 @@ from repro.chaos.faults import (
 )
 from repro.chaos.injector import FaultInjector
 from repro.chaos.invariants import BYTES_RTOL, InvariantChecker
-from repro.chaos.runtime import ChaosConfig, ChaosRuntime
+from repro.chaos.runtime import ChaosRuntime
 
 #: names resolved lazily from :mod:`repro.chaos.scenarios` (it imports
 #: repro.core, which this package must not pull in eagerly)
@@ -74,7 +76,6 @@ __all__ = [
     "EVENT_KINDS",
     "FAULT_STAGES",
     "CachePeerLoss",
-    "ChaosConfig",
     "ChaosRuntime",
     "CollectiveDelay",
     "CollectiveDrop",

@@ -7,13 +7,18 @@ covers 60% of a DSP epoch also covers 60% of a DGL-UVA epoch, however
 different their absolute epoch times are.
 
 :func:`run_scenario` executes one ``(system, scenario)`` cell in two
-passes over *fresh* systems (``run_epoch`` advances RNG state, so the
-baseline and chaos passes must not share one):
+passes:
 
 1. a fault-free pass with the invariant checker attached, yielding the
    horizon and the baseline timing;
 2. the chaos pass under the scenario's plan, with the full
    injector + watchdog + invariant stack.
+
+Training cells run each pass on a *fresh* system (``run_epoch``
+advances RNG state, so the passes must not share one).  Serving cells
+build one system and serve both passes through
+:func:`~repro.serve.sweep.serve_pass`, which resets the system between
+passes (:func:`serving_cell`, shared with the controller matrix).
 
 A pass that wedges on a crashed worker surfaces as outcome
 ``"stalled"`` (the diagnosed :class:`~repro.utils.errors.PipelineStall`
@@ -42,9 +47,7 @@ from repro.chaos.faults import (
     LinkFlap,
     WorkerCrash,
 )
-from repro.chaos.injector import FaultInjector
-from repro.chaos.invariants import InvariantChecker
-from repro.chaos.runtime import ChaosConfig, ChaosRuntime
+from repro.chaos.runtime import ChaosRuntime
 from repro.utils.errors import ConfigError, InvariantViolation, PipelineStall
 
 
@@ -145,43 +148,27 @@ def _get(scenario: str) -> Scenario:
         ) from None
 
 
-def _inv_summary(inv: InvariantChecker | None) -> dict | None:
-    return None if inv is None else inv.summary()
-
-
 def run_scenario(
     system_name: str,
     scenario: str,
     config,
-    chaos_config: ChaosConfig | None = None,
     max_batches: int | None = 4,
     requests: int = 64,
     qps: float = 2000.0,
-    controller=None,
 ) -> dict:
-    """One ``(system, scenario)`` cell -> a JSON-safe result dict.
-
-    ``controller`` (a :class:`repro.control.ControllerConfig`) makes
-    serve-mode cells run a *third* pass — same faults, tuner on — and
-    adds ``slo_minutes_violated_controller`` / ``controller_actions``
-    to the cell, quantifying what closing the loop buys per scenario.
-    Train-mode cells ignore it (there is no batcher to tune).
-    """
+    """One ``(system, scenario)`` cell -> a JSON-safe result dict."""
     sc = _get(scenario)
     if sc.mode == "serve":
-        return _run_serve_scenario(system_name, sc, config, chaos_config,
-                                   requests, qps, controller=controller)
-    return _run_train_scenario(system_name, sc, config, chaos_config,
-                               max_batches)
+        return _run_serve_scenario(system_name, sc, config, requests, qps)
+    return _run_train_scenario(system_name, sc, config, max_batches)
 
 
 def _run_train_scenario(system_name: str, sc: Scenario, config,
-                        chaos_config: ChaosConfig | None,
                         max_batches: int | None) -> dict:
     from repro.core import build_system
 
     baseline_sys = build_system(system_name, config)
-    base_chaos = ChaosRuntime(FaultPlan(), chaos_config)
+    base_chaos = ChaosRuntime(FaultPlan())
     baseline_sys.run_epoch(max_batches=max_batches, functional=False,
                            chaos=base_chaos)
     base = baseline_sys.last_pipeline_result
@@ -191,7 +178,7 @@ def _run_train_scenario(system_name: str, sc: Scenario, config,
     from repro.metrics import MetricsRegistry
 
     system = build_system(system_name, config)
-    runtime = ChaosRuntime(plan, chaos_config)
+    runtime = ChaosRuntime(plan)
     # ~20 windows over the fault-free horizon keeps per-window state
     # bounded however long (or short) the epoch simulates to
     registry = MetricsRegistry(window_s=max(base.epoch_time / 20.0, 1e-6))
@@ -223,153 +210,119 @@ def _run_train_scenario(system_name: str, sc: Scenario, config,
         # fault activations / clearances / invariant violations that
         # landed on the chaos pass's metrics timeline
         "fault_events": len(registry.events),
-        "invariants": _inv_summary(runtime.invariants),
-        "baseline_invariants": _inv_summary(base_chaos.invariants),
+        "invariants": runtime.invariants.summary(),
+        "baseline_invariants": base_chaos.invariants.summary(),
     }
     if dead:
         out["dead_workers"] = list(dead)
     return out
 
 
-def _serve_pass(system_name: str, config, serve_cfg, workload, qps: float,
-                cc: ChaosConfig, plan: FaultPlan):
-    """One serving run on a fresh system with windowed metrics
-    attached; returns ``(report, invariants, slo_summary, registry)``.
+def serving_cell(system_name: str, config, workload_config, qps: float,
+                 serve_config, scenario: str):
+    """Build one system for a serving cell and run its fault-free pass.
 
-    The SLO window equals the SLO itself, so "SLO minutes violated" is
-    counted over windows as long as the latency bound being enforced.
+    Returns ``(serve, base, plan)``: ``base`` is the fault-free pass's
+    ``(server, report)``, ``plan`` the scenario's :class:`FaultPlan`
+    sized from its horizon (fault-free for ``"none"``), and
+    ``serve(faults, controller)`` serves the cell's stream once more on
+    the same system through :func:`repro.serve.sweep.serve_pass`.
+    Every pass resets the system first, streams windowed metrics and
+    runs under the strict invariant checker.
     """
-    from repro.core import build_system
-    from repro.metrics import MetricsRegistry, SLOMonitor
-    from repro.serve.service import GNNServer
+    from dataclasses import replace
 
-    system = build_system(system_name, config)
-    registry = MetricsRegistry(window_s=serve_cfg.slo_s)
-    inv = (InvariantChecker(strict=cc.strict_invariants, metrics=registry)
-           if cc.check_invariants else None)
-    injector = None if plan.fault_free else FaultInjector(plan)
-    report = GNNServer(system, serve_cfg, metrics=registry,
-                       injector=injector,
-                       invariants=inv).run(workload.requests(qps),
-                                           offered_qps=qps)
-    if inv is not None:
-        inv.finalize()
-    slo = SLOMonitor(registry, serve_cfg.slo_s).summary()
-    return report, inv, slo, registry
-
-
-def _run_serve_scenario(system_name: str, sc: Scenario, config,
-                        chaos_config: ChaosConfig | None,
-                        requests: int, qps: float,
-                        controller=None) -> dict:
     import numpy as np
 
     from repro.core import build_system
-    from repro.serve import ServeConfig, WorkloadConfig, make_workload
+    from repro.serve import make_workload
+    from repro.serve.sweep import serve_pass
 
-    cc = chaos_config if chaos_config is not None else ChaosConfig()
-    serve_cfg = ServeConfig()
-    wl_cfg = WorkloadConfig(num_requests=requests, seed=config.seed)
-    # one workload shared by both passes, in the dataset's original ids
-    probe = build_system(system_name, config)
-    workload = make_workload(wl_cfg, np.arange(probe.base_dataset.num_nodes))
-    del probe
+    sc = None if scenario == "none" else _get(scenario)
+    system = build_system(system_name, config)
+    # the dataset's original ids, so every system serves the same stream
+    workload = make_workload(workload_config,
+                             np.arange(system.base_dataset.num_nodes))
+    requests = workload.requests(qps)
+    audited = replace(serve_config, check_invariants=True)
 
-    base, base_inv, base_slo, _ = _serve_pass(
-        system_name, config, serve_cfg, workload, qps, cc, FaultPlan()
+    def serve(faults=None, controller=None):
+        cfg = (audited if controller is None
+               else replace(audited, controller=controller))
+        return serve_pass(system, requests, qps, cfg, metrics=True,
+                          faults=faults)
+
+    base = serve()
+    plan = (FaultPlan() if sc is None
+            else sc.build(base[1].elapsed, config.total_gpus))
+    return serve, base, plan
+
+
+def _run_serve_scenario(system_name: str, sc: Scenario, config,
+                        requests: int, qps: float) -> dict:
+    from repro.serve import ServeConfig, WorkloadConfig
+
+    serve, (base_server, base), plan = serving_cell(
+        system_name, config,
+        WorkloadConfig(num_requests=requests, seed=config.seed), qps,
+        ServeConfig(), sc.name,
     )
-    plan = sc.build(base.elapsed, config.total_gpus)
     outcome = "completed"
-    report, inv, slo, registry = None, None, None, None
+    server = report = slo = None
     try:
-        report, inv, slo, registry = _serve_pass(
-            system_name, config, serve_cfg, workload, qps, cc, plan
-        )
+        server, report = serve(plan)
+        slo = report.metrics["slo"]
     except InvariantViolation:
         outcome = "invariant-violation"
-    ctl_report = ctl_slo = None
-    if controller is not None and outcome == "completed":
-        from dataclasses import replace as _dc_replace
-
-        ctl_cfg = _dc_replace(serve_cfg, controller=controller)
-        ctl_report, _, ctl_slo, _ = _serve_pass(
-            system_name, config, ctl_cfg, workload, qps, cc, plan
-        )
-    out = {
+    done = report is not None
+    return {
         "system": system_name,
         "scenario": sc.name,
         "mode": "serve",
         "outcome": outcome,
         "faults": plan.kind_counts(),
         "baseline_elapsed": base.elapsed,
-        "elapsed": None if report is None else report.elapsed,
-        "slowdown": (
-            None if report is None or base.elapsed <= 0
-            else report.elapsed / base.elapsed
-        ),
-        "degraded": None if report is None else report.degraded,
-        "completed": None if report is None else report.completed,
-        "shed": None if report is None else report.shed,
-        "p99_ms": None if report is None else report.p99 * 1e3,
+        "elapsed": report.elapsed if done else None,
+        "slowdown": (report.elapsed / base.elapsed
+                     if done and base.elapsed > 0 else None),
+        "degraded": report.degraded if done else None,
+        "completed": report.completed if done else None,
+        "shed": report.shed if done else None,
+        "p99_ms": report.p99 * 1e3 if done else None,
         # windowed SLO health (p50/p95/p99 series + burn rates) of the
         # chaos pass, and the headline resilience figure of both passes
         "slo": slo,
-        "slo_minutes_violated": (
-            None if slo is None else slo["slo_minutes_violated"]
-        ),
-        "baseline_slo_minutes_violated": base_slo["slo_minutes_violated"],
-        "fault_events": 0 if registry is None else len(registry.events),
-        "invariants": _inv_summary(inv),
-        "baseline_invariants": _inv_summary(base_inv),
+        "slo_minutes_violated": slo["slo_minutes_violated"] if done else None,
+        "baseline_slo_minutes_violated": (
+            base.metrics["slo"]["slo_minutes_violated"]),
+        # fault activations / clearances on the chaos pass's timeline
+        "fault_events": len(report.metrics.get("events", ())) if done else 0,
+        "invariants": server.invariants.summary() if done else None,
+        "baseline_invariants": base_server.invariants.summary(),
     }
-    if ctl_report is not None:
-        # present only when the controller pass ran, so default-path
-        # cell payloads stay byte-identical to pre-control outputs
-        out["slo_minutes_violated_controller"] = (
-            ctl_slo["slo_minutes_violated"]
-        )
-        out["controller_actions"] = sum(
-            (ctl_report.control or {}).get("action_counts", {}).values()
-        )
-        out["controller_action_counts"] = (
-            (ctl_report.control or {}).get("action_counts", {})
-        )
-        out["controller_shed"] = ctl_report.shed
-    return out
 
 
 def resilience_report(
     systems,
     scenarios,
     config,
-    chaos_config: ChaosConfig | None = None,
     max_batches: int | None = 4,
     requests: int = 64,
     qps: float = 2000.0,
     workers: int = 1,
-    controller=None,
 ) -> dict:
     """Run the ``systems × scenarios`` matrix; one JSON-safe report.
 
     Each cell is an independent :class:`~repro.parallel.RunSpec`
     (kind ``chaos_scenario``), so ``workers > 1`` fans the matrix out
-    across processes with bit-identical results.  ``controller`` adds
-    the with-controller pass to serve-mode cells (see
-    :func:`run_scenario`).
+    across processes with bit-identical results.
     """
     from repro.parallel import RunSpec, run_tasks
 
     scenarios = list(scenarios)
     for name in scenarios:
         _get(name)  # fail fast on typos, before any simulation runs
-    options = {
-        "chaos_config": chaos_config,
-        "max_batches": max_batches,
-        "requests": requests,
-        "qps": qps,
-    }
-    if controller is not None:
-        options["controller"] = controller
+    options = {"max_batches": max_batches, "requests": requests, "qps": qps}
     specs = [
         RunSpec(
             kind="chaos_scenario",
@@ -431,11 +384,6 @@ def format_report(payload: dict) -> str:
                 detail = "dead: " + ", ".join(r["dead_workers"])
             elif r["mode"] == "serve" and r.get("shed") is not None:
                 detail = f"shed {r['shed']}"
-            if "slo_minutes_violated_controller" in r:
-                detail = (detail + " " if detail else "") + (
-                    f"ctl SLO {r['slo_minutes_violated_controller']:.4f} "
-                    f"({r.get('controller_actions', 0)} actions)"
-                )
             lines.append(
                 f"{system:<10} {scenario:<16} {r['outcome']:<20} "
                 f"{slow_s:>9} "
@@ -460,4 +408,5 @@ __all__ = [
     "format_report",
     "resilience_report",
     "run_scenario",
+    "serving_cell",
 ]

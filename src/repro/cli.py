@@ -21,6 +21,7 @@ import math
 import sys
 
 from repro.bench.harness import TABLE_SYSTEMS
+from repro.chaos.scenarios import SCENARIOS
 from repro.core import RunConfig, SYSTEMS, build_system
 from repro.core.metrics import metrics_dict as _metrics_dict, scrub_nan
 from repro.graph import DATASET_SPECS
@@ -34,15 +35,24 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _positive(text: str) -> float:
-    """argparse ``type=``: a finite number > 0 (offered loads)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
-    return value
+def _finite(accept, what: str):
+    """argparse ``type=``: a finite number that ``accept`` admits."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = None
+        if value is None or not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a {what} number")
+        return value
+    return parse
+
+
+#: offered loads, window widths
+_positive = _finite(lambda v: v > 0, "positive")
+#: batch max-wait
+_non_negative = _finite(lambda v: v >= 0, "non-negative")
 
 
 def _at_least(low: int):
@@ -162,6 +172,81 @@ def _config(args) -> RunConfig:
     )
 
 
+def _add_serving_args(p: argparse.ArgumentParser, arrival: str = "poisson",
+                      per_cell: bool = False) -> None:
+    """The serving knobs ``serve`` and ``control`` share.
+
+    ``per_cell`` words the help for the controller matrix, whose knobs
+    are the static configuration every cell starts from.
+    """
+    if per_cell:
+        per, batching = "cell", "static"
+        slo_hint = ("; pick one tight enough that the static config burns "
+                    "error budget, or every cell is 0 vs 0")
+        cap = "static batch size cap the controller starts from"
+        drift = ""
+    else:
+        per, batching, slo_hint = "sweep point", "dynamic", ""
+        cap = "dynamic batch size cap"
+        drift = (": the Zipf hot set permutes this many times over the "
+                 "request stream")
+    p.add_argument("--requests", type=_at_least(1), default=256,
+                   help=f"requests per {per} (default 256)")
+    p.add_argument("--slo-ms", type=float, default=5.0,
+                   help=f"p99 latency SLO in milliseconds (default 5"
+                        f"{slo_hint})")
+    p.add_argument("--batch-max", type=_at_least(1), default=16,
+                   help=f"{cap} (default 16)")
+    p.add_argument("--batch-timeout-ms", type=_non_negative, default=1.0,
+                   help=f"{batching} batch max-wait in ms (default 1)")
+    p.add_argument("--queue-capacity", type=_at_least(1), default=64,
+                   help="per-GPU admission queue bound (default 64)")
+    p.add_argument("--arrival", default=arrival,
+                   choices=["poisson", "bursty", "diurnal"])
+    p.add_argument("--skew", type=float, default=0.8,
+                   help="Zipf popularity exponent for seed nodes")
+    p.add_argument("--drift-phases", type=int, default=1,
+                   help=f"popularity-drift phases{drift} "
+                        "(default 1 = stationary)")
+
+
+def _serve_config(args, **extra):
+    """The :class:`~repro.serve.ServeConfig` of the shared serving flags."""
+    from repro.serve import ServeConfig
+
+    return ServeConfig(
+        batch_max=args.batch_max,
+        batch_timeout_s=args.batch_timeout_ms * 1e-3,
+        queue_capacity=args.queue_capacity,
+        slo_s=args.slo_ms * 1e-3,
+        **extra,
+    )
+
+
+def _workload_config(args):
+    """The :class:`~repro.serve.WorkloadConfig` of the shared serving flags."""
+    from repro.serve import WorkloadConfig
+
+    return WorkloadConfig(
+        num_requests=args.requests,
+        arrival=args.arrival,
+        skew=args.skew,
+        drift_phases=args.drift_phases,
+        seed=args.seed,
+    )
+
+
+def _controller_config(args, max_pressure: int = 0):
+    """The :class:`~repro.control.ControllerConfig` of the CLI flags."""
+    from repro.control import ControllerConfig
+
+    return ControllerConfig(
+        interval_s=(args.control_interval_ms * 1e-3
+                    if args.control_interval_ms is not None else None),
+        max_pressure=max_pressure,
+    )
+
+
 def cmd_train(args) -> int:
     """``repro train``: train one system, print per-epoch metrics."""
     cfg = _config(args)
@@ -259,13 +344,7 @@ def cmd_serve(args) -> int:
     """``repro serve``: online serving sweep with SLO accounting."""
     import numpy as np
 
-    from repro.serve import (
-        ServeConfig,
-        WorkloadConfig,
-        make_workload,
-        max_sustainable_qps,
-        qps_sweep,
-    )
+    from repro.serve import make_workload, max_sustainable_qps, qps_sweep
     from repro.serve.sweep import warm_once
 
     cfg = _config(args)
@@ -276,30 +355,16 @@ def cmd_serve(args) -> int:
         tenancy = TenancyConfig.uniform(args.tenants, seed=args.seed)
     controller = None
     if args.controller:
-        from repro.control import ControllerConfig
-
-        controller = ControllerConfig(
-            interval_s=(args.control_interval_ms * 1e-3
-                        if args.control_interval_ms is not None else None),
-            max_pressure=tenancy.max_priority() if tenancy else 0,
-        )
-    serve_cfg = ServeConfig(
-        batch_max=args.batch_max,
-        batch_timeout_s=args.batch_timeout_ms * 1e-3,
-        queue_capacity=args.queue_capacity,
-        slo_s=args.slo_ms * 1e-3,
+        controller = _controller_config(
+            args, max_pressure=tenancy.max_priority() if tenancy else 0)
+    serve_cfg = _serve_config(
+        args,
         functional=args.functional,
         check_invariants=args.invariants,
         controller=controller,
         tenancy=tenancy,
     )
-    wl_cfg = WorkloadConfig(
-        num_requests=args.requests,
-        arrival=args.arrival,
-        skew=args.skew,
-        drift_phases=args.drift_phases,
-        seed=args.seed,
-    )
+    wl_cfg = _workload_config(args)
     if args.scale_max > 1 and args.num_replicas > 1:
         return _fail("--scale-max replaces the fixed --num-replicas router; "
                      "use one or the other")
@@ -465,11 +530,7 @@ def cmd_chaos(args) -> int:
     Exit code 1 iff any run violated a simulation invariant — stalls
     from crash scenarios are *findings*, not harness failures.
     """
-    from repro.chaos.scenarios import (
-        SCENARIOS,
-        format_report,
-        resilience_report,
-    )
+    from repro.chaos.scenarios import format_report, resilience_report
 
     cfg = _config(args)
     systems = args.systems
@@ -483,14 +544,6 @@ def cmd_chaos(args) -> int:
         if not systems:
             return _fail("no system in --systems supports --num-nodes > 1")
     scenarios = args.scenarios or sorted(SCENARIOS)
-    controller = None
-    if args.controller:
-        from repro.control import ControllerConfig
-
-        controller = ControllerConfig(
-            interval_s=(args.control_interval_ms * 1e-3
-                        if args.control_interval_ms is not None else None),
-        )
     payload = resilience_report(
         systems,
         scenarios,
@@ -499,7 +552,6 @@ def cmd_chaos(args) -> int:
         requests=args.requests,
         qps=args.qps,
         workers=args.workers,
-        controller=controller,
     )
     print(format_report(payload))
     if args.json or args.out:
@@ -521,40 +573,21 @@ def cmd_control(args) -> int:
     """
     from repro.control import (
         CORE_SCENARIOS,
-        ControllerConfig,
         control_matrix,
         format_control_matrix,
     )
-    from repro.serve import ServeConfig, WorkloadConfig
 
     cfg = _config(args)
     scenarios = args.scenarios or list(CORE_SCENARIOS)
-    controller = ControllerConfig(
-        interval_s=(args.control_interval_ms * 1e-3
-                    if args.control_interval_ms is not None else None),
-    )
-    serve_cfg = ServeConfig(
-        batch_max=args.batch_max,
-        batch_timeout_s=args.batch_timeout_ms * 1e-3,
-        queue_capacity=args.queue_capacity,
-        slo_s=args.slo_ms * 1e-3,
-    )
     label = args.arrival if args.drift_phases <= 1 else (
         f"{args.arrival}+drift{args.drift_phases}"
     )
-    wl_cfg = WorkloadConfig(
-        num_requests=args.requests,
-        arrival=args.arrival,
-        skew=args.skew,
-        drift_phases=args.drift_phases,
-        seed=args.seed,
-    )
     payload = control_matrix(
-        args.system, cfg, controller,
+        args.system, cfg, _controller_config(args),
         scenarios=scenarios,
-        workload_configs={label: wl_cfg},
+        workload_configs={label: _workload_config(args)},
         qps=args.qps,
-        serve_config=serve_cfg,
+        serve_config=_serve_config(args),
         workers=args.workers,
     )
     print(format_control_matrix(payload))
@@ -689,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p)
     p.add_argument("--systems", default="", type=_csv(choices=SYSTEMS),
                    help="comma-separated subset (default: all five)")
-    p.add_argument("--batches", type=int, default=6)
+    p.add_argument("--batches", type=_at_least(1), default=6)
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes, one task per system "
                         "(default 1 = serial; results are bit-identical)")
@@ -732,24 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qps", default="2000,8000,32000,128000",
                    type=_csv(_positive),
                    help="comma-separated offered loads to sweep")
-    p.add_argument("--requests", type=int, default=256,
-                   help="requests per sweep point (default 256)")
-    p.add_argument("--slo-ms", type=float, default=5.0,
-                   help="p99 latency SLO in milliseconds (default 5)")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="dynamic batch size cap (default 16)")
-    p.add_argument("--batch-timeout-ms", type=float, default=1.0,
-                   help="dynamic batch max-wait in ms (default 1)")
-    p.add_argument("--queue-capacity", type=int, default=64,
-                   help="per-GPU admission queue bound (default 64)")
-    p.add_argument("--arrival", default="poisson",
-                   choices=["poisson", "bursty", "diurnal"])
-    p.add_argument("--skew", type=float, default=0.8,
-                   help="Zipf popularity exponent for seed nodes")
-    p.add_argument("--drift-phases", type=int, default=1,
-                   help="popularity-drift phases: the Zipf hot set "
-                        "permutes this many times over the request "
-                        "stream (default 1 = stationary)")
+    _add_serving_args(p)
     p.add_argument("--cache-warmup", type=_at_least(0), default=0,
                    help="seed the dynamic cache from the first N "
                         "workload requests before the sweep (needs "
@@ -766,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control-interval-ms", type=float, default=None,
                    help="controller decision interval in ms "
                         "(default: 4 SLO windows)")
-    p.add_argument("--tenants", type=int, default=0,
+    p.add_argument("--tenants", type=_at_least(0), default=0,
                    help="split the workload across N synthetic tenants "
                         "with priority classes and admission quotas "
                         "(default 0 = off)")
@@ -796,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "sweep point: adds the SLO-minutes-violated "
                         "column and a 'metrics' summary per point in "
                         "the JSON (input for 'repro report')")
-    p.add_argument("--metrics-window-ms", type=float, default=None,
+    p.add_argument("--metrics-window-ms", type=_positive, default=None,
                    help="metrics window width in ms (default: the SLO)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", metavar="PATH",
@@ -811,26 +827,19 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_csv(choices=SYSTEMS),
                    help="comma-separated systems to stress "
                         "(default DSP,DSP-Pull,DGL-UVA)")
-    p.add_argument("--scenarios", default="", type=_csv(),
+    p.add_argument("--scenarios", default="", type=_csv(choices=SCENARIOS),
                    help="comma-separated scenario names "
                         "(default: all; see docs/robustness.md)")
-    p.add_argument("--batches", type=int, default=4,
+    p.add_argument("--batches", type=_at_least(1), default=4,
                    help="mini-batches per training scenario (default 4)")
-    p.add_argument("--requests", type=int, default=64,
+    p.add_argument("--requests", type=_at_least(1), default=64,
                    help="requests per serving scenario (default 64)")
-    p.add_argument("--qps", type=float, default=2000.0,
+    p.add_argument("--qps", type=_positive, default=2000.0,
                    help="offered load for serving scenarios (default 2000)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes, one task per (system, "
                         "scenario) cell (default 1 = serial; the report "
                         "is bit-identical)")
-    p.add_argument("--controller", action="store_true",
-                   help="run each serving scenario a third time with the "
-                        "SLO-burn controller closing the loop and report "
-                        "its SLO minutes next to the static pass")
-    p.add_argument("--control-interval-ms", type=float, default=None,
-                   help="controller decision interval in ms "
-                        "(default: 4 SLO windows)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", metavar="PATH",
                    help="write the JSON report to PATH instead of stdout")
@@ -841,30 +850,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_args(p)
     p.add_argument("--system", default="DSP", choices=sorted(SYSTEMS))
-    p.add_argument("--scenarios", default="", type=_csv(),
+    p.add_argument("--scenarios", default="",
+                   type=_csv(choices={"none", *SCENARIOS}),
                    help="comma-separated chaos scenarios (default: the "
                         "seven core recipes; 'none' = fault-free)")
-    p.add_argument("--requests", type=int, default=256,
-                   help="requests per cell (default 256)")
-    p.add_argument("--qps", type=float, default=3000.0,
+    p.add_argument("--qps", type=_positive, default=3000.0,
                    help="offered load per cell (default 3000)")
-    p.add_argument("--slo-ms", type=float, default=5.0,
-                   help="p99 latency SLO in milliseconds (default 5; "
-                        "pick one tight enough that the static config "
-                        "burns error budget, or every cell is 0 vs 0)")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="static batch size cap the controller starts "
-                        "from (default 16)")
-    p.add_argument("--batch-timeout-ms", type=float, default=1.0,
-                   help="static batch max-wait in ms (default 1)")
-    p.add_argument("--queue-capacity", type=int, default=64,
-                   help="per-GPU admission queue bound (default 64)")
-    p.add_argument("--arrival", default="diurnal",
-                   choices=["poisson", "bursty", "diurnal"])
-    p.add_argument("--skew", type=float, default=0.8,
-                   help="Zipf popularity exponent for seed nodes")
-    p.add_argument("--drift-phases", type=int, default=1,
-                   help="popularity-drift phases (default 1 = stationary)")
+    _add_serving_args(p, arrival="diurnal", per_cell=True)
     p.add_argument("--control-interval-ms", type=float, default=None,
                    help="controller decision interval in ms "
                         "(default: 4 SLO windows)")

@@ -6,9 +6,13 @@ minutes violated" (the :class:`~repro.metrics.SLOMonitor` resilience
 figure) relative to the static configuration it started from — and
 does it ever make things *worse*?  :func:`control_matrix` answers it
 cell by cell: every cell runs the same workload under the same
-:class:`~repro.chaos.FaultPlan` twice, static knobs vs controller, on
-fresh systems, and reports both figures plus the controller's action
-accounting.
+:class:`~repro.chaos.FaultPlan` twice, static knobs vs controller, and
+reports both figures plus the controller's action accounting.  A cell
+builds its system once (:func:`repro.chaos.scenarios.serving_cell`):
+the fault-free pass that sizes the plan, the static pass and the
+controller pass all serve through
+:func:`~repro.serve.sweep.serve_pass`, which resets the system between
+passes.
 
 Scenario plans come from the chaos registry
 (:data:`repro.chaos.scenarios.SCENARIOS`): a scenario's recipe is a
@@ -26,10 +30,6 @@ of this matrix, including action counts.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
-
-from repro.utils.errors import ConfigError
 
 #: the named chaos scenarios every controller evaluation covers (the
 #: seven core recipes, train- and serve-mode alike — their fault plans
@@ -53,50 +53,25 @@ def control_cell(
     workload_config=None,
     requests: int = 64,
     qps: float = 2000.0,
-    chaos_config=None,
     serve_config=None,
 ) -> dict:
     """One matrix cell: static vs controlled serving under one plan."""
-    import numpy as np
+    from repro.chaos.scenarios import serving_cell
+    from repro.serve import ServeConfig, WorkloadConfig
 
-    from repro.chaos.faults import FaultPlan
-    from repro.chaos.runtime import ChaosConfig
-    from repro.chaos.scenarios import SCENARIOS, _serve_pass
-    from repro.core import build_system
-    from repro.serve import ServeConfig, WorkloadConfig, make_workload
-
-    if scenario != "none" and scenario not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; known: "
-            f"{['none', *sorted(SCENARIOS)]}"
-        )
-    cc = chaos_config if chaos_config is not None else ChaosConfig()
-    serve_cfg = serve_config if serve_config is not None else ServeConfig()
     wl_cfg = (workload_config if workload_config is not None
               else WorkloadConfig(num_requests=requests, seed=config.seed))
-    probe = build_system(system_name, config)
-    workload = make_workload(wl_cfg, np.arange(probe.base_dataset.num_nodes))
-    del probe
-
-    base, _, base_slo, _ = _serve_pass(
-        system_name, config, serve_cfg, workload, qps, cc, FaultPlan()
+    serve, base, plan = serving_cell(
+        system_name, config, wl_cfg, qps,
+        serve_config if serve_config is not None else ServeConfig(),
+        scenario,
     )
-    if scenario == "none":
-        plan = FaultPlan()
-        static_report, static_slo = base, base_slo
-    else:
-        plan = SCENARIOS[scenario].build(base.elapsed, config.total_gpus)
-        static_report, _, static_slo, _ = _serve_pass(
-            system_name, config, serve_cfg, workload, qps, cc, plan
-        )
-    ctl_cfg = replace(serve_cfg, controller=controller)
-    ctl_report, _, ctl_slo, _ = _serve_pass(
-        system_name, config, ctl_cfg, workload, qps, cc, plan
-    )
+    _, static_report = base if plan.fault_free else serve(plan)
+    _, ctl_report = serve(plan, controller)
+    static_min = static_report.metrics["slo"]["slo_minutes_violated"]
+    ctl_min = ctl_report.metrics["slo"]["slo_minutes_violated"]
     control = ctl_report.control or {}
     actions = sum(control.get("action_counts", {}).values())
-    static_min = static_slo["slo_minutes_violated"]
-    ctl_min = ctl_slo["slo_minutes_violated"]
     return {
         "system": system_name,
         "scenario": scenario,
@@ -126,7 +101,6 @@ def control_matrix(
     workload_configs=None,
     requests: int = 64,
     qps: float = 2000.0,
-    chaos_config=None,
     serve_config=None,
     workers: int = 1,
 ) -> dict:
@@ -157,7 +131,6 @@ def control_matrix(
                 "workload_config": wl_cfg,
                 "requests": requests,
                 "qps": qps,
-                "chaos_config": chaos_config,
                 "serve_config": serve_config,
             },
         )

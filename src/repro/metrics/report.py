@@ -761,9 +761,7 @@ def _chaos_section(chaos) -> str:
             ("status", "status"), ("p99_ms", "p99 (ms)"),
             ("goodput_qps", "goodput"), ("shed_rate", "shed"),
             ("degraded", "degraded"), ("violations", "invariant viol."),
-            ("slo_minutes_violated", "SLO min"),
-            ("slo_minutes_violated_controller", "SLO min (ctl)"),
-            ("controller_actions", "ctl actions")]
+            ("slo_minutes_violated", "SLO min")]
     present = [(k, t) for k, t in cols if any(k in c for c in cells)]
     head = "".join(f"<th>{_esc(t)}</th>" for _, t in present)
     body = []

@@ -26,10 +26,11 @@ Design
   the parent with the child's formatted traceback embedded, so a
   fan-out failure reads the same as a serial one.
 
-Serving tasks reuse one built system per worker process (a serving
-point re-seeds the sampler and leaves the system untouched, see
-:func:`repro.serve.sweep.serve_once`); epoch tasks always build fresh
-because an epoch mutates sampler RNGs and shuffling state.
+Sweep points reuse one built system per worker process (every serving
+pass resets the system first, see :func:`repro.serve.sweep.serve_pass`);
+chaos and controller cells build one system per cell and reset it
+between their passes; epoch tasks always build fresh because an epoch
+mutates sampler RNGs and shuffling state.
 """
 
 from __future__ import annotations
@@ -190,9 +191,11 @@ def _epoch(spec: RunSpec):
 def _chaos_scenario(spec: RunSpec):
     """One (system, scenario) resilience cell -> its result dict.
 
-    Always builds fresh systems inside :func:`run_scenario` (both the
-    baseline and the chaos pass mutate RNG state), so the cell is a
-    pure function of its spec — bit-identical across worker counts.
+    Builds its own systems inside :func:`run_scenario` — never the
+    shared per-process memo — so the cell is a pure function of its
+    spec, bit-identical across worker counts.  Training cells build
+    one system per pass (an epoch mutates RNG state); serving cells
+    build one and reset it between passes.
     """
     from repro.chaos.scenarios import run_scenario
 
@@ -205,10 +208,11 @@ def _chaos_scenario(spec: RunSpec):
 def _control_cell(spec: RunSpec):
     """One cell of the controller-vs-static evaluation matrix.
 
-    Builds fresh systems for every pass inside
-    :func:`repro.control.evaluate.control_cell` (serving under faults
-    must not share mutated state), so the cell is a pure function of
-    its spec — bit-identical across worker counts.
+    :func:`repro.control.evaluate.control_cell` builds one system for
+    the cell — never the shared per-process memo, which a warmed
+    dynamic cache from an earlier sweep could have left behind — and
+    resets it between passes, so the cell is a pure function of its
+    spec, bit-identical across worker counts.
     """
     from repro.control.evaluate import control_cell
 
@@ -218,7 +222,6 @@ def _control_cell(spec: RunSpec):
         workload_config=p.get("workload_config"),
         requests=p.get("requests", 64),
         qps=p.get("qps", 2000.0),
-        chaos_config=p.get("chaos_config"),
         serve_config=p.get("serve_config"),
     )
 

@@ -90,6 +90,7 @@ class ServeConfig:
             raise ConfigError("pipeline_depth must be positive")
         if self.comm_channels < 1:
             raise ConfigError("comm_channels must be positive")
+        self.batcher()  # validates the batcher knobs up front
 
     def batcher(self) -> BatcherConfig:
         return BatcherConfig(

@@ -42,13 +42,13 @@ class SweepPoint:
 def _reset(system) -> None:
     """Return the system to the state every serving pass starts from.
 
-    Sweep points and replicas sharing a process also share one built
-    system, so each pass first re-seeds the sampler's RNG streams (every
-    pass samples the same neighbourhoods), returns the dynamic cache
-    policy — and the shared store it mutates — to its post-warmup
-    baseline, and empties the feature-path plan cache (loader outputs
-    are cache-transparent, but the hit/miss counts the metrics layer
-    surfaces are not).  A pass is then a pure function of its inputs,
+    Sweep points, replicas and the passes of a chaos or controller cell
+    share one built system, so each pass first re-seeds the sampler's
+    RNG streams (every pass samples the same neighbourhoods), returns
+    the dynamic cache policy — and the shared store it mutates — to its
+    post-warmup baseline, and empties the feature-path plan cache
+    (loader outputs are cache-transparent, but the hit/miss counts the
+    metrics layer surfaces are not).  A pass is then a pure function of its inputs,
     byte-identical whichever worker executes it.
     """
     sampler = getattr(system, "sampler", None)
@@ -104,25 +104,29 @@ def _check_untraced(replicas, tracing: bool) -> None:
         )
 
 
-def _checker(cfg: ServeConfig):
-    """A strict invariant checker when the config asks for auditing."""
+def _checker(cfg: ServeConfig, metrics=None):
+    """A strict invariant checker when the config asks for auditing;
+    a violation lands on ``metrics`` (a registry) before it raises."""
     if not cfg.check_invariants:
         return None
     from repro.chaos.invariants import InvariantChecker
 
-    return InvariantChecker()
+    return InvariantChecker(metrics=metrics)
 
 
-def _serve_pass(system, requests, qps: float, cfg: ServeConfig, *,
-                tracer=None, metrics: bool = False,
-                metrics_window_s: float | None = None):
+def serve_pass(system, requests, qps: float, cfg: ServeConfig, *,
+               tracer=None, metrics: bool = False,
+               metrics_window_s: float | None = None, faults=None):
     """One fresh server over ``requests``: reset, serve, audit.
 
-    Returns ``(server, report)``; ``report.metrics`` holds the windowed
-    summary when ``metrics`` is set.
+    The only code that builds a :class:`GNNServer`: sweep points,
+    replicas, chaos cells and controller cells all serve through here.
+    ``faults`` (a :class:`~repro.chaos.FaultPlan`) perturbs the pass
+    through a :class:`~repro.chaos.FaultInjector`.  Returns ``(server,
+    report)``; ``report.metrics`` holds the windowed summary when
+    ``metrics`` is set.
     """
     _reset(system)
-    invariants = _checker(cfg)
     registry = None
     if metrics:
         from repro.metrics import MetricsRegistry
@@ -131,8 +135,14 @@ def _serve_pass(system, requests, qps: float, cfg: ServeConfig, *,
             window_s=(metrics_window_s if metrics_window_s is not None
                       else cfg.slo_s)
         )
+    invariants = _checker(cfg, registry)
+    injector = None
+    if faults is not None and not faults.fault_free:
+        from repro.chaos.injector import FaultInjector
+
+        injector = FaultInjector(faults)
     server = GNNServer(system, cfg, tracer=tracer, metrics=registry,
-                       invariants=invariants)
+                       injector=injector, invariants=invariants)
     report = server.run(requests, offered_qps=qps)
     if invariants is not None:
         invariants.finalize()
@@ -191,7 +201,7 @@ def _serve_replicas(system, workload: Workload, qps: float, replicas,
             summaries.append(None)
             controls.append(None)
             continue
-        server, rep_report = _serve_pass(
+        server, rep_report = serve_pass(
             system, sub, qps, cfg, metrics=metrics,
             metrics_window_s=metrics_window_s,
         )
@@ -274,9 +284,9 @@ def serve_once(
     if _splits(replicas):
         return _serve_replicas(system, workload, qps, replicas, cfg,
                                metrics, metrics_window_s)
-    _, report = _serve_pass(system, workload.requests(qps), qps, cfg,
-                            tracer=tracer, metrics=metrics,
-                            metrics_window_s=metrics_window_s)
+    _, report = serve_pass(system, workload.requests(qps), qps, cfg,
+                           tracer=tracer, metrics=metrics,
+                           metrics_window_s=metrics_window_s)
     return report
 
 

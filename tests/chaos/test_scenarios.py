@@ -10,6 +10,7 @@ cache) untouched.  The determinism tests pin the acceptance contract:
 the report is bit-identical across repeated runs and worker counts.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,22 @@ from repro.utils.errors import ConfigError
 SYSTEMS = ("DSP", "DSP-Pull", "DGL-UVA")
 CFG = RunConfig(dataset="tiny", num_gpus=2, hidden_dim=16, batch_size=8,
                 fanout=(5, 3), seed=0)
+
+# -- digests computed before serve cells ran on serve.sweep.serve_pass --
+#: the full ``matrix`` fixture report
+PRE_FOLD_MATRIX = (
+    "a5bf8e6c1d1e3ef9f45cd42583c8f3551075145af6b490be5ec292a644dc6f6a"
+)
+#: the network scenarios on a two-server cluster (see TestPinnedReports)
+PRE_FOLD_NET_TWO_NODES = (
+    "c01bcb944e6e056ca52702441ae5a4227281f30818242ab28c0f12214f5f0fcb"
+)
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +179,22 @@ class TestDeterminism:
                                    workers=2, **kw)
         assert (json.dumps(serial, sort_keys=True)
                 == json.dumps(fanned, sort_keys=True))
+
+
+class TestPinnedReports:
+    """Every figure of the reports, bit for bit, against digests taken
+    before serve-mode cells moved onto ``serve.sweep.serve_pass``."""
+
+    def test_matrix_digest(self, matrix):
+        assert _digest(matrix) == PRE_FOLD_MATRIX
+
+    def test_network_scenarios_on_two_nodes_digest(self):
+        report = resilience_report(
+            ["DSP", "DSP-Pull"], ["net-degrade", "net-flap"],
+            CFG.with_(num_nodes=2), max_batches=2, requests=32, qps=2000.0,
+        )
+        assert report["summary"]["completed"] == 4
+        assert _digest(report) == PRE_FOLD_NET_TWO_NODES
 
 
 class TestFormatReport:

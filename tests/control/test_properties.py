@@ -11,8 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.faults import FaultPlan
-from repro.chaos.runtime import ChaosConfig
-from repro.chaos.scenarios import _serve_pass
 from repro.control import (
     AutoscaleConfig,
     ControllerConfig,
@@ -21,7 +19,7 @@ from repro.control import (
     assign_replicas,
 )
 from repro.serve import ServeConfig, WorkloadConfig, make_workload
-from repro.serve.sweep import serve_once
+from repro.serve.sweep import serve_once, serve_pass
 
 from tests.control.conftest import CFG
 
@@ -99,7 +97,7 @@ def test_scale_down_never_drops_in_flight(nodes, seed, target):
 
 @SIM_SETTINGS
 @given(plan_seed=st.integers(min_value=0, max_value=10_000))
-def test_random_fault_plans_conserve_requests(nodes, plan_seed):
+def test_random_fault_plans_conserve_requests(system, nodes, plan_seed):
     """Fuzz the full stack: a random bounded FaultPlan under tenancy +
     controller still terminates, conserves the stream, and keeps the
     strict invariant oracle quiet."""
@@ -108,14 +106,15 @@ def test_random_fault_plans_conserve_requests(nodes, plan_seed):
     w = make_workload(WorkloadConfig(num_requests=64, seed=1), nodes)
     cfg = ServeConfig(
         slo_s=2e-3,
+        check_invariants=True,
         controller=ControllerConfig(),
         tenancy=TenancyConfig.uniform(2, seed=plan_seed),
     )
-    report, _, slo, _ = _serve_pass(
-        "DSP", CFG, cfg, w, 3000.0, ChaosConfig(), plan
-    )
+    server, report = serve_pass(system, w.requests(3000.0), 3000.0, cfg,
+                                metrics=True, faults=plan)
     assert report.completed + report.shed == 64
-    assert slo["slo_minutes_violated"] >= 0.0
+    assert report.metrics["slo"]["slo_minutes_violated"] >= 0.0
+    assert server.invariants.summary()["clean"]
 
 
 @SIM_SETTINGS

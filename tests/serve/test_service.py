@@ -99,6 +99,13 @@ class TestServeRun:
         with pytest.raises(ConfigError):
             ServeConfig(comm_channels=0)
 
+    @pytest.mark.parametrize("knob", [{"batch_max": 0},
+                                      {"queue_capacity": 0},
+                                      {"batch_timeout_s": -1e-3}])
+    def test_batcher_knobs_validated_at_construction(self, knob):
+        with pytest.raises(ConfigError):
+            ServeConfig(**knob)
+
 
 class TestBaselinesServe:
     @pytest.mark.parametrize("name", ["DSP-Pull", "DGL-UVA"])

@@ -151,8 +151,24 @@ class TestCLI:
         ["serve", *ARGS, "--requests", "0", "--qps", "1000"],
         ["chaos", *ARGS, "--systems", "NOPE", "--scenarios", "straggler"],
         ["serve", *ARGS, "--qps", "abc"],
+        ["control", *ARGS, "--qps", "0", "--scenarios", "none"],
+        ["chaos", *ARGS, "--qps", "-5", "--scenarios", "cache-peer-loss"],
+        ["chaos", *ARGS, "--requests", "0", "--scenarios", "cache-peer-loss"],
+        ["serve", *ARGS, "--batch-max", "0", "--qps", "1000"],
+        ["serve", *ARGS, "--queue-capacity", "0", "--qps", "1000"],
+        ["serve", *ARGS, "--batch-timeout-ms", "-1", "--qps", "1000"],
+        ["compare", *ARGS, "--batches", "0", "--systems", "DSP"],
+        ["chaos", *ARGS, "--batches", "0", "--scenarios", "straggler"],
+        ["serve", *ARGS, "--metrics", "--metrics-window-ms", "0"],
+        ["serve", *ARGS, "--tenants", "-1", "--qps", "1000"],
+        ["control", *ARGS, "--scenarios", "meteor-strike"],
+        ["chaos", *ARGS, "--scenarios", "meteor-strike"],
     ], ids=["qps-zero", "gpus-zero", "requests-zero", "unknown-system",
-            "qps-not-a-number"])
+            "qps-not-a-number", "control-qps-zero", "chaos-qps-negative",
+            "chaos-requests-zero", "batch-max-zero", "queue-capacity-zero",
+            "batch-timeout-negative", "compare-batches-zero",
+            "chaos-batches-zero", "metrics-window-zero", "tenants-negative",
+            "control-unknown-scenario", "chaos-unknown-scenario"])
     def test_bad_input_exits_without_traceback(self, argv, tmp_path):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
